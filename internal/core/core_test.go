@@ -5,6 +5,9 @@ import (
 
 	"prio/internal/afe"
 	"prio/internal/field"
+	"prio/internal/prg"
+	"prio/internal/sealbox"
+	"prio/internal/share"
 )
 
 // newSumDeployment builds a local cluster summing 8-bit integers.
@@ -398,5 +401,98 @@ func TestClientEncodingLengthValidation(t *testing.T) {
 	_, _, client, _ := newSumDeployment(t, ModeSNIP, 2, false)
 	if _, err := client.BuildSubmission([]uint64{1, 2}); err == nil {
 		t.Error("BuildSubmission accepted wrong-length encoding")
+	}
+}
+
+// TestSeededShareExpansionGroundTruth checks the follower side of share
+// compression at the benchmark's BitVector(1024) shape: the shares the
+// followers decode from their seed bundles, with the leader's explicit
+// share, reconstruct exactly the flat vector the client shared, and the
+// deployment accepts and aggregates the submission.
+func TestSeededShareExpansionGroundTruth(t *testing.T) {
+	f := field.NewF64()
+	scheme := afe.NewBitVector(f, 1024)
+	pro, err := NewProtocol(Config[field.F64, uint64]{
+		Field:   f,
+		Scheme:  scheme,
+		Servers: 3,
+		Mode:    ModeSNIP,
+		Seal:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewLocalCluster(pro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A seeded client randomness source lets the test re-derive the proof,
+	// and with it the whole flat vector, as ground truth.
+	proofSeed := prg.Seed{0xC0, 0xFF, 0xEE}
+	client, err := NewClient(pro, cl.PublicKeys(), prg.New(proofSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := make([]bool, 1024)
+	for i := range bits {
+		bits[i] = i%5 == 0 || i%7 == 0
+	}
+	enc, err := scheme.Encode(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := client.BuildSubmission(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := pro.ValidSys.Prove(enc, prg.New(proofSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := append(append([]uint64(nil), enc...), pro.ValidSys.FlattenProof(pf)...)
+	if len(truth) != pro.FlatLen() {
+		t.Fatalf("ground truth has %d elements, want %d", len(truth), pro.FlatLen())
+	}
+
+	shares := make([][]uint64, len(cl.Servers))
+	for i, srv := range cl.Servers {
+		pt, err := sealbox.Open(srv.priv, sub.Bundles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantSeed := i > 0; (pt[0] == bundleSeed) != wantSeed {
+			t.Fatalf("server %d: bundle kind %d, want seed bundle: %v", i, pt[0], wantSeed)
+		}
+		if shares[i], err = pro.decodeBundle(sub.Bundles[i], srv.priv); err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+	}
+	if !field.EqualVec(f, share.Reconstruct(f, shares...), truth) {
+		t.Fatal("leader and seeded follower shares do not reconstruct the client's flat vector")
+	}
+
+	accepts, err := cl.Leader.ProcessBatch([]*Submission{sub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !accepts[0] {
+		t.Fatal("honest BitVector(1024) submission rejected")
+	}
+	agg, n, err := cl.Leader.Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scheme.Decode(agg, int(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bits {
+		want := uint64(0)
+		if b {
+			want = 1
+		}
+		if got[i] != want {
+			t.Fatalf("position %d count = %d, want %d", i, got[i], want)
+		}
 	}
 }

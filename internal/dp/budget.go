@@ -115,18 +115,17 @@ func (b *Budget) Refused() uint64 {
 	return b.refused
 }
 
-// Restore sets cumulative spend to the given value, clamped to [0, cap] —
-// the checkpoint-recovery path: a restarted server must resume the ledger
+// Restore sets cumulative spend to the given value, capped at cap — the
+// checkpoint-recovery path: a restarted server must resume the ledger
 // where it left off, or a crash loop would reset the budget and quietly
-// break the composition guarantee.
+// break the composition guarantee. A NaN or negative spend can only come
+// from a corrupt checkpoint, so it fails closed: the budget restores as
+// exhausted rather than refilled.
 func (b *Budget) Restore(spent float64) {
 	if b == nil {
 		return
 	}
-	if math.IsNaN(spent) || spent < 0 {
-		spent = 0
-	}
-	if spent > b.cap {
+	if math.IsNaN(spent) || spent < 0 || spent > b.cap {
 		spent = b.cap
 	}
 	b.mu.Lock()

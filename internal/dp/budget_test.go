@@ -112,9 +112,16 @@ func TestBudgetRestore(t *testing.T) {
 	if b.Spent() != 2.0 {
 		t.Fatalf("over-cap restore: Spent = %v, want 2.0", b.Spent())
 	}
-	b.Restore(-1)
-	if b.Spent() != 0 {
-		t.Fatalf("negative restore: Spent = %v, want 0", b.Spent())
+	// A corrupt spend fails closed: the budget restores exhausted.
+	for _, bad := range []float64{-1, math.NaN()} {
+		b.Restore(0.5)
+		b.Restore(bad)
+		if b.Spent() != 2.0 {
+			t.Fatalf("Restore(%v): Spent = %v, want the cap 2.0", bad, b.Spent())
+		}
+		if _, err := b.Spend(0.1); !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("Restore(%v) left budget spendable: %v", bad, err)
+		}
 	}
 }
 

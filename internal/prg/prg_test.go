@@ -2,8 +2,74 @@ package prg
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/hex"
 	"testing"
 )
+
+// katSeed is the known-answer seed 00 01 … 0f.
+var katSeed = Seed{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+// TestKnownAnswer pins the first 64 bytes of the stream. Seeds travel on
+// the wire, so the stream is part of the protocol: this value must never
+// change. The first block is the FIPS-197 AES-128 encryption of the zero
+// block under key 00 01 … 0f.
+func TestKnownAnswer(t *testing.T) {
+	const want = "c6a13b37878f5b826f4f8162a1c8d879" +
+		"7346139595c0b41e497bbde365f42d0a" +
+		"49d68753999ba68ce3897a686081b09d" +
+		"b9ad2b2e346ac238505d365e9cb7fc56"
+	got := make([]byte, 64)
+	if _, err := New(katSeed).Read(got); err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("stream = %x, want %s", got, want)
+	}
+}
+
+// refStream is the stream computed directly with AES-CTR (zero IV), in one
+// XORKeyStream call over n zero bytes.
+func refStream(seed Seed, n int) []byte {
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err)
+	}
+	out := make([]byte, n)
+	cipher.NewCTR(block, make([]byte, aes.BlockSize)).XORKeyStream(out, out)
+	return out
+}
+
+// TestChunkedReadsAcrossRefills reads chunks that straddle the keystream
+// buffer's block and refill boundaries and checks that they concatenate
+// to the one-shot stream.
+func TestChunkedReadsAcrossRefills(t *testing.T) {
+	sizes := []int{1, 7, 8, 4095, 4096, 4097}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	one := make([]byte, total)
+	New(katSeed).Read(one)
+	if !bytes.Equal(one, refStream(katSeed, total)) {
+		t.Fatal("one-shot read diverges from raw AES-CTR")
+	}
+	// Every rotation of the size list, so each size starts at several
+	// offsets into the buffer.
+	for r := range sizes {
+		g := New(katSeed)
+		var chunks []byte
+		for i := range sizes {
+			buf := bytes.Repeat([]byte{0xAA}, sizes[(r+i)%len(sizes)])
+			g.Read(buf)
+			chunks = append(chunks, buf...)
+		}
+		if !bytes.Equal(one, chunks) {
+			t.Fatalf("rotation %d: chunked reads diverge from one-shot read", r)
+		}
+	}
+}
 
 func TestDeterministic(t *testing.T) {
 	seed := Seed{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
@@ -74,5 +140,53 @@ func TestNewSeedUnique(t *testing.T) {
 	}
 	if a == b {
 		t.Error("two fresh seeds are equal")
+	}
+}
+
+// TestNextMatchesRead interleaves Next and Read calls of assorted sizes and
+// checks them against the raw AES-CTR stream.
+func TestNextMatchesRead(t *testing.T) {
+	sizes := []int{8, 3, 4096, 4104, 1, 240, 17, 9000, 16}
+	g := New(katSeed)
+	var got []byte
+	for i, n := range sizes {
+		if i%2 == 0 {
+			b := g.Next(n)
+			if len(b) != min(n, MaxNext) {
+				t.Fatalf("Next(%d) returned %d bytes", n, len(b))
+			}
+			got = append(got, b...)
+		} else {
+			buf := make([]byte, n)
+			g.Read(buf)
+			got = append(got, buf...)
+		}
+	}
+	if !bytes.Equal(got, refStream(katSeed, len(got))) {
+		t.Fatal("mixed Next/Read stream diverges from raw AES-CTR")
+	}
+}
+
+// TestRefillSizedToDemand checks that a refill produces only the pending
+// demand rounded up to an AES block, never a whole MaxNext buffer.
+func TestRefillSizedToDemand(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{1, 16}, {8, 16}, {16, 16}, {240, 240}, {241, 256}, {MaxNext, MaxNext}, {2 * MaxNext, MaxNext},
+	} {
+		g := New(katSeed)
+		g.Next(tc.n)
+		if len(g.buf) != tc.want {
+			t.Errorf("Next(%d) generated %d bytes of keystream, want %d", tc.n, len(g.buf), tc.want)
+		}
+	}
+	// The unread tail counts toward the next demand.
+	g := New(katSeed)
+	g.Next(4) // generates 16, leaves 12
+	g.Next(20)
+	if len(g.buf) != 12+16 {
+		t.Errorf("refill after a 12-byte tail holds %d bytes, want 28", len(g.buf))
+	}
+	if cap(g.buf) > MaxNext+16 {
+		t.Errorf("buffer grew to %d bytes", cap(g.buf))
 	}
 }

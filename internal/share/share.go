@@ -6,10 +6,19 @@
 // The package also provides the PRG-compressed variant of Appendix I
 // (optimization 1), where the first s-1 shares are 16-byte PRG seeds, and an
 // XOR-sharing variant for the F_2^λ boolean encodings of Section 5.2.
+//
+// A seed is all a follower receives of its share, so Expand is wire
+// format: for every field it must yield, bit for bit, the elements that
+// one f.SampleElem per draw over the prg stream yields. Expansion reads
+// the stream through the PRG's keystream buffer. Over F64, the field of
+// every hot path, it decodes 8-byte words in place from that buffer, with
+// no per-element read or allocation; the golden digests in golden_test.go
+// and FuzzExpandMatchesReference hold it to the per-element definition.
 package share
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"io"
 
@@ -58,17 +67,73 @@ func Reconstruct[Fd field.Field[E], E any](f Fd, shares ...[]E) []E {
 // Expand deterministically derives an n-element share vector from a PRG seed.
 // It is how servers holding a seeded share materialize their field elements.
 func Expand[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
-	g := prg.New(seed)
 	out := make([]E, n)
-	for i := range out {
-		e, err := f.SampleElem(g)
-		if err != nil {
-			// The PRG never fails.
-			panic("share: " + err.Error())
-		}
-		out[i] = e
-	}
+	ExpandInto(f, seed, out)
 	return out
+}
+
+// ExpandInto overwrites dst with the first len(dst) elements expanded from
+// seed. Each element is rejection-sampled from the PRG stream in order:
+// F64 draws 8-byte little-endian words, decoded in place from the PRG's
+// keystream buffer; every other field draws through its SampleElem. The
+// result is, bit for bit, what calling f.SampleElem on the stream once per
+// element yields — seeds are wire format.
+func ExpandInto[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E) {
+	sample(f, seed, dst, false)
+}
+
+// ExpandNonzeroInto is ExpandInto with zero rejected like an out-of-range
+// draw: a zero is skipped and the next draw in the stream fills its slot.
+func ExpandNonzeroInto[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E) {
+	sample(f, seed, dst, true)
+}
+
+// keystream is the byte source of the F64 sampler: *prg.PRG, or a crafted
+// stream in tests that must reach the rejection branches.
+type keystream interface {
+	Next(n int) []byte
+}
+
+// sample fills dst from seed's stream in order, rejecting zero too when
+// nonzero is set.
+func sample[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E, nonzero bool) {
+	src := prg.New(seed)
+	if _, ok := any(f).(field.F64); ok {
+		lo := uint64(0)
+		if nonzero {
+			lo = 1
+		}
+		sampleF64(src, any(dst).([]uint64), lo)
+		return
+	}
+	for i := range dst {
+		for {
+			e, err := f.SampleElem(src)
+			if err != nil {
+				// The PRG never fails.
+				panic("share: " + err.Error())
+			}
+			if !nonzero || !f.IsZero(e) {
+				dst[i] = e
+				break
+			}
+		}
+	}
+}
+
+// sampleF64 fills dst with the 8-byte little-endian words of src that lie
+// in [lo, p), skipping the rest. It asks src for exactly the bytes the
+// unfilled elements need, so the stream position after it matches one
+// F64.SampleElem per draw.
+func sampleF64(src keystream, dst []uint64, lo uint64) {
+	for i := 0; i < len(dst); {
+		for b := src.Next(8 * (len(dst) - i)); len(b) >= 8; b = b[8:] {
+			if v := binary.LittleEndian.Uint64(b); v-lo < field.ModulusF64-lo {
+				dst[i] = v
+				i++
+			}
+		}
+	}
 }
 
 // SplitSeeded divides x into s shares where the first s-1 are PRG seeds
@@ -80,13 +145,15 @@ func SplitSeeded[Fd field.Field[E], E any](f Fd, x []E, s int) ([]prg.Seed, []E,
 	}
 	seeds := make([]prg.Seed, s-1)
 	last := append([]E(nil), x...)
+	scratch := make([]E, len(x))
 	for i := range seeds {
 		seed, err := prg.NewSeed()
 		if err != nil {
 			return nil, nil, err
 		}
 		seeds[i] = seed
-		field.SubVec(f, last, Expand(f, seed, len(x)))
+		ExpandInto(f, seed, scratch)
+		field.SubVec(f, last, scratch)
 	}
 	return seeds, last, nil
 }
@@ -106,7 +173,7 @@ func XorSplit(words []uint64, s int) ([][]uint64, error) {
 		}
 		sh := make([]uint64, len(words))
 		for j := range sh {
-			sh[j] = leUint64(buf[8*j:])
+			sh[j] = binary.LittleEndian.Uint64(buf[8*j:])
 			last[j] ^= sh[j]
 		}
 		shares[i] = sh
@@ -127,9 +194,4 @@ func XorReconstruct(shares ...[]uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

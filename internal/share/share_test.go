@@ -1,7 +1,9 @@
 package share
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -80,7 +82,13 @@ func TestSplitDoesNotMutateInput(t *testing.T) {
 }
 
 func TestSplitSeeded(t *testing.T) {
-	f := field.NewF128()
+	testSplitSeeded(t, field.NewF64())
+	testSplitSeeded(t, field.NewF128())
+	testSplitSeeded(t, field.NewFP87())
+	testSplitSeeded(t, field.NewF2())
+}
+
+func testSplitSeeded[Fd field.Field[E], E any](t *testing.T, f Fd) {
 	x, err := field.SampleVec(f, rand.Reader, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -91,15 +99,82 @@ func TestSplitSeeded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(seeds) != s-1 {
-			t.Fatalf("got %d seeds, want %d", len(seeds), s-1)
+			t.Fatalf("%s: got %d seeds, want %d", f.Name(), len(seeds), s-1)
 		}
-		shares := make([][]field.U128, 0, s)
+		shares := make([][]E, 0, s)
 		for _, seed := range seeds {
 			shares = append(shares, Expand(f, seed, len(x)))
 		}
 		shares = append(shares, last)
 		if !field.EqualVec(f, Reconstruct(f, shares...), x) {
-			t.Errorf("s=%d: seeded reconstruction mismatch", s)
+			t.Errorf("%s s=%d: seeded reconstruction mismatch", f.Name(), s)
+		}
+	}
+}
+
+// TestExpandIntoOverwrites checks that ExpandInto ignores dst's prior
+// contents and agrees with Expand.
+func TestExpandIntoOverwrites(t *testing.T) {
+	f := field.NewF64()
+	seed := prg.Seed{7}
+	dst := make([]uint64, 1000)
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+	ExpandInto(f, seed, dst)
+	if !field.EqualVec(f, dst, Expand(f, seed, len(dst))) {
+		t.Error("ExpandInto depends on dst's prior contents")
+	}
+}
+
+// chunkStream is a crafted keystream handing out at most limit bytes per
+// Next call, as prg.PRG does at MaxNext.
+type chunkStream struct {
+	b     []byte
+	limit int
+}
+
+func (c *chunkStream) Next(n int) []byte {
+	n = min(n, c.limit)
+	out := c.b[:n]
+	c.b = c.b[n:]
+	return out
+}
+
+// TestSampleF64Rejection drives the in-buffer F64 sampler over a stream
+// that plants out-of-range words (p, p+1, 2^64-1) and zeros, including at
+// chunk boundaries, and checks it against per-element SampleElem draws
+// over the same bytes — with zero rejected as RLC coefficients require.
+func TestSampleF64Rejection(t *testing.T) {
+	f := field.NewF64()
+	const words = 300
+	stream := make([]byte, 8*words)
+	if _, err := rand.Read(stream); err != nil {
+		t.Fatal(err)
+	}
+	planted := []uint64{field.ModulusF64, field.ModulusF64 + 1, ^uint64(0), 0}
+	for i := 0; i < words; i += 3 {
+		binary.LittleEndian.PutUint64(stream[8*i:], planted[(i/3)%len(planted)])
+	}
+	for _, lo := range []uint64{0, 1} {
+		// The reference consumes whole draws from the same bytes.
+		r := bytes.NewReader(stream)
+		var want []uint64
+		for {
+			v, err := f.SampleElem(r)
+			if err != nil {
+				break
+			}
+			if v >= lo {
+				want = append(want, v)
+			}
+		}
+		for _, limit := range []int{8, 24, 64, prg.MaxNext} {
+			got := make([]uint64, len(want))
+			sampleF64(&chunkStream{b: stream, limit: limit}, got, lo)
+			if !field.EqualVec(f, got, want) {
+				t.Errorf("lo=%d limit=%d: sampler diverges from per-element draws", lo, limit)
+			}
 		}
 	}
 }

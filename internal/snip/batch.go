@@ -9,6 +9,7 @@ import (
 	"prio/internal/circuit"
 	"prio/internal/field"
 	"prio/internal/prg"
+	"prio/internal/share"
 )
 
 // Batch SNIP verification. The per-submission protocol (verify.go) spends
@@ -497,21 +498,8 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 // zero λ would silently drop its submission from the check, and nonzero λ
 // makes the singleton range exactly the per-submission test.
 func RLCCoeffs[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
-	g := prg.New(seed)
 	out := make([]E, n)
-	for i := range out {
-		for {
-			e, err := f.SampleElem(g)
-			if err != nil {
-				// prg.PRG.Read never fails.
-				panic("snip: PRG sampling failed: " + err.Error())
-			}
-			if !f.IsZero(e) {
-				out[i] = e
-				break
-			}
-		}
-	}
+	share.ExpandNonzeroInto(f, seed, out)
 	return out
 }
 

@@ -2,6 +2,8 @@ package snip
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"prio/internal/circuit"
@@ -402,6 +404,41 @@ func TestRLCCoeffs(t *testing.T) {
 	if !diff {
 		t.Fatal("RLCCoeffs ignores the seed")
 	}
+}
+
+// TestRLCCoeffsGolden pins the λ vectors for a fixed seed in every field.
+// The leader ships only the seed, so every server must derive the same
+// coefficients from it: these digests are wire format and must never
+// change.
+func TestRLCCoeffsGolden(t *testing.T) {
+	seed := prg.Seed{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	got := map[string]string{
+		"F64":  rlcDigest(field.NewF64(), RLCCoeffs(field.NewF64(), seed, 16)),
+		"F128": rlcDigest(field.NewF128(), RLCCoeffs(field.NewF128(), seed, 16)),
+		"FP87": rlcDigest(field.NewFP87(), RLCCoeffs(field.NewFP87(), seed, 16)),
+		"F2":   rlcDigest(field.NewF2(), RLCCoeffs(field.NewF2(), seed, 16)),
+	}
+	want := map[string]string{
+		"F64":  "1d9c9c98074e0b7a10008bd4b2388f8ba2897e545d5c7daaca0975aa8592eeec",
+		"F128": "4f5f46d9f13b97fa88035079aa79a17ef04b24e2a6f21c073816374cac22e060",
+		"FP87": "deb79c16bc2e116119f13b7ad5714b1245cba83901a2a92dc40be5a39c9b0a5e",
+		"F2":   "cc8cd41cef907c4d216069122c4b89936211361f9050a717a1e37ad1862e952f",
+	}
+	for name, d := range got {
+		if d != want[name] {
+			t.Errorf("%s: RLCCoeffs digest %s, want %s", name, d, want[name])
+		}
+	}
+}
+
+// rlcDigest is the SHA-256 of v's canonical element encodings.
+func rlcDigest[Fd field.Field[E], E any](f Fd, v []E) string {
+	var b []byte
+	for _, e := range v {
+		b = f.AppendElem(b, e)
+	}
+	d := sha256.Sum256(b)
+	return hex.EncodeToString(d[:])
 }
 
 // TestBatchStateErrors drives the error paths: misuse must produce errors,

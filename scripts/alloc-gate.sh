@@ -2,7 +2,7 @@
 # alloc-gate.sh — allocation-regression gate for the streamed verification
 # hot path.
 #
-# Runs the two gate benchmarks once each with -benchmem and asserts:
+# Runs the gate benchmarks once each with -benchmem and asserts:
 #   - BenchmarkRoundMarshal: exactly 0 allocs/op. The leader builds round
 #     requests in pooled arenas; any allocation here is a pooling regression.
 #   - BenchmarkStreamedRounds/Streamed: at most ${STREAMED_ALLOC_CEILING}
@@ -10,12 +10,19 @@
 #     latency-injected TCP, measured steady-state after warm-up). The
 #     ceiling is pinned ~4x above the current figure, so it only trips on a
 #     structural regression, not benchmark noise.
+#   - BenchmarkShareExpand/L=1024: at most ${EXPAND_ALLOC_CEILING} allocs/op.
+#     Seed expansion decodes F64 elements in place from the PRG's keystream
+#     buffer, so its allocations are a constant handful (output vector,
+#     PRG, AES cipher, CTR stream, keystream buffer = 5), independent of L.
+#     The ceiling is pinned at 2x that; a per-element allocation on the
+#     expansion path would cost over 1000 here.
 #
 # Runs locally (./scripts/alloc-gate.sh) and in the CI bench job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STREAMED_ALLOC_CEILING="${STREAMED_ALLOC_CEILING:-2500}"
+EXPAND_ALLOC_CEILING="${EXPAND_ALLOC_CEILING:-10}"
 OUT="$(mktemp)"
 trap 'rm -f "${OUT}"' EXIT
 
@@ -25,8 +32,11 @@ go test -run '^$' -bench '^BenchmarkRoundMarshal$' -benchmem -benchtime=1x \
 echo "== alloc gate: BenchmarkStreamedRounds/Streamed (<= ${STREAMED_ALLOC_CEILING} allocs/op)"
 go test -run '^$' -bench '^BenchmarkStreamedRounds/Streamed$' -benchmem -benchtime=1x \
   . | tee -a "${OUT}"
+echo "== alloc gate: BenchmarkShareExpand/L=1024 (<= ${EXPAND_ALLOC_CEILING} allocs/op)"
+go test -run '^$' -bench '^BenchmarkShareExpand/L=1024$' -benchmem -benchtime=1x \
+  . | tee -a "${OUT}"
 
-awk -v ceiling="${STREAMED_ALLOC_CEILING}" '
+awk -v ceiling="${STREAMED_ALLOC_CEILING}" -v expand_ceiling="${EXPAND_ALLOC_CEILING}" '
 /^BenchmarkRoundMarshal/ {
   seen_rm = 1
   for (i = 1; i <= NF; i++) if ($i == "allocs/op") a = $(i-1)
@@ -37,9 +47,15 @@ awk -v ceiling="${STREAMED_ALLOC_CEILING}" '
   for (i = 1; i <= NF; i++) if ($i == "allocs/op") a = $(i-1)
   if (a + 0 > ceiling) { printf "FAIL: BenchmarkStreamedRounds/Streamed %s allocs/op, ceiling %d\n", a, ceiling; bad = 1 }
 }
+/^BenchmarkShareExpand\/L=1024/ {
+  seen_se = 1
+  for (i = 1; i <= NF; i++) if ($i == "allocs/op") a = $(i-1)
+  if (a + 0 > expand_ceiling) { printf "FAIL: BenchmarkShareExpand/L=1024 %s allocs/op, ceiling %d\n", a, expand_ceiling; bad = 1 }
+}
 END {
   if (!seen_rm) { print "FAIL: BenchmarkRoundMarshal did not run"; bad = 1 }
   if (!seen_sr) { print "FAIL: BenchmarkStreamedRounds/Streamed did not run"; bad = 1 }
+  if (!seen_se) { print "FAIL: BenchmarkShareExpand/L=1024 did not run"; bad = 1 }
   exit bad
 }' "${OUT}"
 
