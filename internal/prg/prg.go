@@ -6,13 +6,10 @@
 //
 // The output is the AES-CTR keystream under a zero IV. Seeds travel on the
 // wire, so this byte stream is part of the protocol: client and servers
-// must expand a seed identically, and any two ways of reading the stream
-// (chunk sizes, Read or Next) yield the same bytes in the same order.
-//
-// A PRG serves reads from a keystream buffer that one XORKeyStream call
-// refills with at most MaxNext bytes at a time. A refill produces only what
-// the pending request still needs, rounded up to one 16-byte AES block, so
-// a short expansion never pays for a full buffer.
+// must expand a seed identically, and reads of any sizes concatenate to the
+// same bytes. A Read of n bytes is one XORKeyStream call over n bytes, so
+// bulk consumers read the keystream in large chunks sized to their demand
+// rather than one element at a time.
 package prg
 
 import (
@@ -24,10 +21,6 @@ import (
 
 // SeedSize is the byte length of a PRG seed (an AES-128 key).
 const SeedSize = 16
-
-// MaxNext is the most keystream one refill produces and one Next call
-// returns (4 KiB, 512 F64 elements).
-const MaxNext = 4096
 
 // Seed keys a PRG. Two PRGs built from equal seeds produce identical output.
 type Seed [SeedSize]byte
@@ -43,8 +36,6 @@ func NewSeed() (Seed, error) {
 // io.Reader and never returns an error from Read.
 type PRG struct {
 	stream cipher.Stream
-	buf    []byte // generated keystream; buf[off:] is not yet handed out
-	off    int
 }
 
 // New constructs a PRG from seed.
@@ -61,47 +52,11 @@ func New(seed Seed) *PRG {
 // ever read.
 var zeroIV [aes.BlockSize]byte
 
-// Read fills p with the next len(p) bytes of the stream. It always returns
-// len(p), nil.
+// Read fills p with pseudo-random bytes. It always returns len(p), nil.
 func (g *PRG) Read(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		p = p[copy(p, g.Next(len(p))):]
+	for i := range p {
+		p[i] = 0
 	}
-	return n, nil
-}
-
-// Next returns the next min(n, MaxNext) bytes of the stream as a view into
-// the keystream buffer, for callers that decode the stream in place. The
-// view is valid only until the next call on g.
-func (g *PRG) Next(n int) []byte {
-	n = min(n, MaxNext)
-	if avail := len(g.buf) - g.off; avail < n {
-		g.refill(n - avail)
-	}
-	b := g.buf[g.off : g.off+n : g.off+n]
-	g.off += n
-	return b
-}
-
-// refill moves the unread tail of the buffer to its front and appends need
-// bytes of fresh keystream, rounded up to a whole AES block, in one
-// XORKeyStream call. need ≤ MaxNext and the tail is shorter than the
-// request it falls short of, so the buffer never exceeds
-// MaxNext + aes.BlockSize bytes.
-func (g *PRG) refill(need int) {
-	tail := len(g.buf) - g.off
-	size := tail + (need+aes.BlockSize-1)&^(aes.BlockSize-1)
-	if cap(g.buf) < size {
-		grown := make([]byte, size, min(max(size, 2*cap(g.buf)), MaxNext+aes.BlockSize))
-		copy(grown, g.buf[g.off:])
-		g.buf = grown
-	} else {
-		copy(g.buf[:tail], g.buf[g.off:])
-		g.buf = g.buf[:size]
-	}
-	g.off = 0
-	ks := g.buf[tail:]
-	clear(ks)
-	g.stream.XORKeyStream(ks, ks)
+	g.stream.XORKeyStream(p, p)
+	return len(p), nil
 }

@@ -41,10 +41,9 @@ func refStream(seed Seed, n int) []byte {
 	return out
 }
 
-// TestChunkedReadsAcrossRefills reads chunks that straddle the keystream
-// buffer's block and refill boundaries and checks that they concatenate
-// to the one-shot stream.
-func TestChunkedReadsAcrossRefills(t *testing.T) {
+// TestChunkedReadsAcrossBlocks reads chunks that straddle AES block and
+// 4 KiB boundaries and checks that they concatenate to the one-shot stream.
+func TestChunkedReadsAcrossBlocks(t *testing.T) {
 	sizes := []int{1, 7, 8, 4095, 4096, 4097}
 	total := 0
 	for _, n := range sizes {
@@ -140,53 +139,5 @@ func TestNewSeedUnique(t *testing.T) {
 	}
 	if a == b {
 		t.Error("two fresh seeds are equal")
-	}
-}
-
-// TestNextMatchesRead interleaves Next and Read calls of assorted sizes and
-// checks them against the raw AES-CTR stream.
-func TestNextMatchesRead(t *testing.T) {
-	sizes := []int{8, 3, 4096, 4104, 1, 240, 17, 9000, 16}
-	g := New(katSeed)
-	var got []byte
-	for i, n := range sizes {
-		if i%2 == 0 {
-			b := g.Next(n)
-			if len(b) != min(n, MaxNext) {
-				t.Fatalf("Next(%d) returned %d bytes", n, len(b))
-			}
-			got = append(got, b...)
-		} else {
-			buf := make([]byte, n)
-			g.Read(buf)
-			got = append(got, buf...)
-		}
-	}
-	if !bytes.Equal(got, refStream(katSeed, len(got))) {
-		t.Fatal("mixed Next/Read stream diverges from raw AES-CTR")
-	}
-}
-
-// TestRefillSizedToDemand checks that a refill produces only the pending
-// demand rounded up to an AES block, never a whole MaxNext buffer.
-func TestRefillSizedToDemand(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{
-		{1, 16}, {8, 16}, {16, 16}, {240, 240}, {241, 256}, {MaxNext, MaxNext}, {2 * MaxNext, MaxNext},
-	} {
-		g := New(katSeed)
-		g.Next(tc.n)
-		if len(g.buf) != tc.want {
-			t.Errorf("Next(%d) generated %d bytes of keystream, want %d", tc.n, len(g.buf), tc.want)
-		}
-	}
-	// The unread tail counts toward the next demand.
-	g := New(katSeed)
-	g.Next(4) // generates 16, leaves 12
-	g.Next(20)
-	if len(g.buf) != 12+16 {
-		t.Errorf("refill after a 12-byte tail holds %d bytes, want 28", len(g.buf))
-	}
-	if cap(g.buf) > MaxNext+16 {
-		t.Errorf("buffer grew to %d bytes", cap(g.buf))
 	}
 }

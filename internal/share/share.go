@@ -9,11 +9,12 @@
 //
 // A seed is all a follower receives of its share, so Expand is wire
 // format: for every field it must yield, bit for bit, the elements that
-// one f.SampleElem per draw over the prg stream yields. Expansion reads
-// the stream through the PRG's keystream buffer. Over F64, the field of
-// every hot path, it decodes 8-byte words in place from that buffer, with
-// no per-element read or allocation; the golden digests in golden_test.go
-// and FuzzExpandMatchesReference hold it to the per-element definition.
+// one f.SampleElem per draw over the prg stream yields. Over F64, the field
+// of every hot path, expansion reads the keystream in chunks of up to 4 KiB,
+// sized to the elements still missing, and decodes 8-byte words in place,
+// with no per-element read or allocation; the golden digests in
+// golden_test.go and FuzzExpandMatchesReference hold it to the per-element
+// definition.
 package share
 
 import (
@@ -74,8 +75,8 @@ func Expand[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
 
 // ExpandInto overwrites dst with the first len(dst) elements expanded from
 // seed. Each element is rejection-sampled from the PRG stream in order:
-// F64 draws 8-byte little-endian words, decoded in place from the PRG's
-// keystream buffer; every other field draws through its SampleElem. The
+// F64 draws 8-byte little-endian words, decoded in place from bulk reads
+// of the keystream; every other field draws through its SampleElem. The
 // result is, bit for bit, what calling f.SampleElem on the stream once per
 // element yields — seeds are wire format.
 func ExpandInto[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E) {
@@ -86,12 +87,6 @@ func ExpandInto[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E) {
 // draw: a zero is skipped and the next draw in the stream fills its slot.
 func ExpandNonzeroInto[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E) {
 	sample(f, seed, dst, true)
-}
-
-// keystream is the byte source of the F64 sampler: *prg.PRG, or a crafted
-// stream in tests that must reach the rejection branches.
-type keystream interface {
-	Next(n int) []byte
 }
 
 // sample fills dst from seed's stream in order, rejecting zero too when
@@ -121,13 +116,23 @@ func sample[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E, nonzero bool
 	}
 }
 
+// maxChunk is the most keystream sampleF64 reads at once: 4 KiB, 512 draws.
+const maxChunk = 4096
+
 // sampleF64 fills dst with the 8-byte little-endian words of src that lie
-// in [lo, p), skipping the rest. It asks src for exactly the bytes the
-// unfilled elements need, so the stream position after it matches one
-// F64.SampleElem per draw.
-func sampleF64(src keystream, dst []uint64, lo uint64) {
+// in [lo, p), skipping the rest. Each read asks for exactly the words the
+// unfilled elements need, capped at maxChunk bytes, so a short vector
+// reads only its own draws and src is left where one F64.SampleElem per
+// draw would leave it.
+func sampleF64(src io.Reader, dst []uint64, lo uint64) {
+	buf := make([]byte, min(8*len(dst), maxChunk))
 	for i := 0; i < len(dst); {
-		for b := src.Next(8 * (len(dst) - i)); len(b) >= 8; b = b[8:] {
+		b := buf[:min(8*(len(dst)-i), len(buf))]
+		if _, err := io.ReadFull(src, b); err != nil {
+			// The PRG never fails.
+			panic("share: " + err.Error())
+		}
+		for ; len(b) > 0; b = b[8:] {
 			if v := binary.LittleEndian.Uint64(b); v-lo < field.ModulusF64-lo {
 				dst[i] = v
 				i++

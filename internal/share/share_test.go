@@ -127,27 +127,15 @@ func TestExpandIntoOverwrites(t *testing.T) {
 	}
 }
 
-// chunkStream is a crafted keystream handing out at most limit bytes per
-// Next call, as prg.PRG does at MaxNext.
-type chunkStream struct {
-	b     []byte
-	limit int
-}
-
-func (c *chunkStream) Next(n int) []byte {
-	n = min(n, c.limit)
-	out := c.b[:n]
-	c.b = c.b[n:]
-	return out
-}
-
-// TestSampleF64Rejection drives the in-buffer F64 sampler over a stream
-// that plants out-of-range words (p, p+1, 2^64-1) and zeros, including at
-// chunk boundaries, and checks it against per-element SampleElem draws
+// TestSampleF64Rejection drives the in-place F64 sampler over a crafted
+// stream that plants out-of-range words (p, p+1, 2^64-1) and zeros, across
+// several 4 KiB reads, and checks it against per-element SampleElem draws
 // over the same bytes — with zero rejected as RLC coefficients require.
+// The sampler must also stop right after the word that fills the last
+// element, where per-element draws stop.
 func TestSampleF64Rejection(t *testing.T) {
 	f := field.NewF64()
-	const words = 300
+	const words = 1500
 	stream := make([]byte, 8*words)
 	if _, err := rand.Read(stream); err != nil {
 		t.Fatal(err)
@@ -160,6 +148,7 @@ func TestSampleF64Rejection(t *testing.T) {
 		// The reference consumes whole draws from the same bytes.
 		r := bytes.NewReader(stream)
 		var want []uint64
+		rest := 0
 		for {
 			v, err := f.SampleElem(r)
 			if err != nil {
@@ -167,14 +156,17 @@ func TestSampleF64Rejection(t *testing.T) {
 			}
 			if v >= lo {
 				want = append(want, v)
+				rest = r.Len()
 			}
 		}
-		for _, limit := range []int{8, 24, 64, prg.MaxNext} {
-			got := make([]uint64, len(want))
-			sampleF64(&chunkStream{b: stream, limit: limit}, got, lo)
-			if !field.EqualVec(f, got, want) {
-				t.Errorf("lo=%d limit=%d: sampler diverges from per-element draws", lo, limit)
-			}
+		got := make([]uint64, len(want))
+		src := bytes.NewReader(stream)
+		sampleF64(src, got, lo)
+		if !field.EqualVec(f, got, want) {
+			t.Errorf("lo=%d: sampler diverges from per-element draws", lo)
+		}
+		if src.Len() != rest {
+			t.Errorf("lo=%d: sampler left %d bytes unread, per-element draws leave %d", lo, src.Len(), rest)
 		}
 	}
 }
