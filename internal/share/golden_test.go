@@ -25,7 +25,7 @@ func digest[Fd field.Field[E], E any](f Fd, v []E) string {
 }
 
 // TestExpandGolden pins Expand's output for every field at lengths around
-// the 512-element (4 KiB of F64) keystream block. A seed is all a follower
+// the 512-element (4 KiB of F64) keystream chunk. A seed is all a follower
 // receives of its share, so client and server must expand it identically:
 // these digests are wire format and must never change.
 func TestExpandGolden(t *testing.T) {
