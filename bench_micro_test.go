@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"testing"
 
+	"prio"
 	"prio/internal/circuit"
 	"prio/internal/field"
 	"prio/internal/poly"
 	"prio/internal/prg"
+	"prio/internal/sealbox"
 	"prio/internal/share"
 	"prio/internal/snip"
 )
@@ -178,4 +180,52 @@ func BenchmarkSplitSeeded(b *testing.B) {
 }
 
 // prgSeed draws a fresh PRG seed for the expansion benchmarks.
+// BenchmarkBuildSubmission is the client layer end to end: proving,
+// PRG-compressed splitting and sealing one submission to three servers, as
+// the perfbench load generator and prio-client do it.
+func BenchmarkBuildSubmission(b *testing.B) {
+	sum8, bits1024 := prio.NewSum(8), prio.NewBitVector(1024)
+	sumEnc, err := sum8.Encode(200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bitsEnc, err := bits1024.Encode(make([]bool, 1024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme prio.Scheme
+		enc    []uint64
+	}{
+		{"sum8", sum8, sumEnc},
+		{"bits1024", bits1024, bitsEnc},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const servers = 3
+			pro, err := prio.NewProtocol(prio.Config{Scheme: tc.scheme, Servers: servers, Mode: prio.ModePrio, Seal: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pubs := make([]*sealbox.PublicKey, servers)
+			for i := range pubs {
+				if pubs[i], _, err = sealbox.GenerateKey(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c, err := prio.NewClient(pro, pubs, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.BuildSubmission(tc.enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func prgSeed() (prg.Seed, error) { return prg.NewSeed() }
