@@ -159,13 +159,11 @@ func (c *Client[Fd, E]) BuildSubmission(encoding []E) (*Submission, error) {
 	sub.Bundles[0] = w.b
 
 	if p.Cfg.Seal {
-		for i := range sub.Bundles {
-			sealed, err := sealbox.Seal(c.keys[i], sub.Bundles[i])
-			if err != nil {
-				return nil, err
-			}
-			sub.Bundles[i] = sealed
+		sealed, err := sealbox.SealEach(c.keys, sub.Bundles)
+		if err != nil {
+			return nil, err
 		}
+		sub.Bundles = sealed
 	}
 	return sub, nil
 }

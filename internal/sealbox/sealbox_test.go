@@ -134,3 +134,115 @@ func TestPublicKeyEncoding(t *testing.T) {
 		t.Error("short public key accepted")
 	}
 }
+
+// sealEachFixture seals a distinct plaintext to each of three fresh keys
+// with one SealEach call.
+func sealEachFixture(t *testing.T) ([]*PrivateKey, [][]byte, [][]byte) {
+	t.Helper()
+	const n = 3
+	pubs := make([]*PublicKey, n)
+	privs := make([]*PrivateKey, n)
+	pts := make([][]byte, n)
+	for i := range pubs {
+		var err error
+		if pubs[i], privs[i], err = GenerateKey(); err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = bytes.Repeat([]byte{byte(i + 1)}, 10*i)
+	}
+	boxes, err := SealEach(pubs, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boxes) != n {
+		t.Fatalf("SealEach returned %d boxes, want %d", len(boxes), n)
+	}
+	return privs, pts, boxes
+}
+
+func TestSealEachOpens(t *testing.T) {
+	privs, pts, boxes := sealEachFixture(t)
+	for i, box := range boxes {
+		if len(box) != len(pts[i])+Overhead {
+			t.Errorf("box %d: size %d, want %d", i, len(box), len(pts[i])+Overhead)
+		}
+		got, err := Open(privs[i], box)
+		if err != nil {
+			t.Fatalf("box %d: Open: %v", i, err)
+		}
+		if !bytes.Equal(got, pts[i]) {
+			t.Errorf("box %d: plaintext mismatch", i)
+		}
+	}
+}
+
+func TestSealEachSharesEphemeralKey(t *testing.T) {
+	_, _, boxes := sealEachFixture(t)
+	nonces := map[string]bool{}
+	for i, box := range boxes {
+		if !bytes.Equal(box[:32], boxes[0][:32]) {
+			t.Errorf("box %d carries a different ephemeral key", i)
+		}
+		nonces[string(box[32:32+nonceSize])] = true
+	}
+	if len(nonces) != len(boxes) {
+		t.Errorf("%d distinct nonces across %d boxes", len(nonces), len(boxes))
+	}
+}
+
+func TestSealEachWrongRecipient(t *testing.T) {
+	privs, _, boxes := sealEachFixture(t)
+	for i, box := range boxes {
+		for j, priv := range privs {
+			if i == j {
+				continue
+			}
+			if _, err := Open(priv, box); err == nil {
+				t.Errorf("box %d opened under key %d", i, j)
+			}
+		}
+	}
+}
+
+func TestSealEachTamperIsolated(t *testing.T) {
+	privs, _, boxes := sealEachFixture(t)
+	for victim := range boxes {
+		for _, pos := range []int{0, 31, 32, 32 + nonceSize, len(boxes[victim]) - 1} {
+			mutated := make([][]byte, len(boxes))
+			for i := range boxes {
+				mutated[i] = append([]byte(nil), boxes[i]...)
+			}
+			mutated[victim][pos] ^= 0x01
+			for i, box := range mutated {
+				_, err := Open(privs[i], box)
+				if i == victim && err == nil {
+					t.Errorf("flip at byte %d of box %d went undetected", pos, victim)
+				}
+				if i != victim && err != nil {
+					t.Errorf("flip in box %d broke box %d: %v", victim, i, err)
+				}
+			}
+		}
+	}
+}
+
+func TestSealEachOneRecipient(t *testing.T) {
+	pub, priv, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := []byte("one recipient")
+	boxes, err := SealEach([]*PublicKey{pub}, [][]byte{pt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boxes) != 1 || len(boxes[0]) != len(pt)+Overhead {
+		t.Fatalf("one-recipient seal: %d boxes, want 1 of %d bytes", len(boxes), len(pt)+Overhead)
+	}
+	if got, err := Open(priv, boxes[0]); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("one-recipient box did not open: %v", err)
+	}
+	if _, err := SealEach([]*PublicKey{pub}, nil); err == nil {
+		t.Error("SealEach accepted mismatched recipient and plaintext counts")
+	}
+}
