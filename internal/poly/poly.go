@@ -61,30 +61,31 @@ func (d *Domain[Fd, E]) NTT(a []E) { d.transform(a, d.pow) }
 // exact inverse of NTT.
 func (d *Domain[Fd, E]) INTT(a []E) {
 	d.transform(a, d.invPow)
+	if _, ok := any(d.F).(field.F64); ok {
+		a64 := any(a).([]uint64)
+		field.ScaleSlice(a64, a64, any(d.invN).(uint64))
+		return
+	}
 	for i := range a {
 		a[i] = d.F.Mul(a[i], d.invN)
 	}
 }
 
 // transform is an iterative decimation-in-time Cooley-Tukey butterfly using
-// the given twiddle table (w^i for forward, w^-i for inverse).
+// the given twiddle table (w^i for forward, w^-i for inverse). Over F64 it
+// runs the monomorphic butterflyF64; other fields go through the generic
+// field methods.
 func (d *Domain[Fd, E]) transform(a []E, tw []E) {
 	if len(a) != d.N {
 		panic("poly: transform length does not match domain size")
 	}
+	bitReverse(a)
+	if _, ok := any(d.F).(field.F64); ok {
+		butterflyF64(any(a).([]uint64), any(tw).([]uint64))
+		return
+	}
 	f := d.F
 	n := d.N
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
 	for length := 2; length <= n; length <<= 1 {
 		half := length >> 1
 		step := n / length
@@ -95,6 +96,43 @@ func (d *Domain[Fd, E]) transform(a []E, tw []E) {
 				a[i+j] = f.Add(u, v)
 				a[i+j+half] = f.Sub(u, v)
 			}
+		}
+	}
+}
+
+// butterflyF64 is transform's butterfly passes over F64, with the field
+// arithmetic called directly rather than through the generic dictionary.
+// a must already be in bit-reversed order.
+func butterflyF64(a, tw []uint64) {
+	var f field.F64
+	n := len(a)
+	for length := 2; length <= n; length <<= 1 {
+		half := length >> 1
+		step := n / length
+		for i := 0; i < n; i += length {
+			lo, hi := a[i:i+half], a[i+half:i+length]
+			for j := range lo {
+				u := lo[j]
+				v := f.Mul(hi[j], tw[j*step])
+				lo[j] = f.Add(u, v)
+				hi[j] = f.Sub(u, v)
+			}
+		}
+	}
+}
+
+// bitReverse permutes a (of power-of-two length) into bit-reversed index
+// order.
+func bitReverse[E any](a []E) {
+	n := len(a)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j |= bit
+		if i < j {
+			a[i], a[j] = a[j], a[i]
 		}
 	}
 }
