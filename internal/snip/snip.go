@@ -123,8 +123,11 @@ func (sys *System[Fd, E]) ProofLen() int {
 
 // Prove builds the SNIP proof for input x. The prover evaluates Valid(x),
 // interpolates f and g through the multiplication-gate operands (with
-// uniformly random anchors for zero knowledge), computes h = f·g by NTT, and
-// deals itself Beaver triples (Section 4.2, step 1 and step 3b).
+// uniformly random anchors for zero knowledge), computes h = f·g on the
+// 2N-domain, and deals itself Beaver triples (Section 4.2, step 1 and step
+// 3b). h's even points are products of the N-point tables; its odd points
+// come from an N-point NTT over the coset ω_2N·⟨ω_N⟩, so proving runs no
+// 2N-point transform.
 //
 // Prove does not require Valid(x) to hold: dishonest inputs yield proofs the
 // servers will reject, which the adversarial tests rely on.
@@ -170,22 +173,26 @@ func (sys *System[Fd, E]) Prove(x []E, rnd io.Reader) (*Proof[E], error) {
 		gv[sys.M+1+j] = pf.GPad[j]
 	}
 
-	// Interpolate (INTT), zero-pad to 2N, evaluate (NTT), multiply pointwise.
+	// h = f·g on the 2N-domain. Its even points ω_2N^{2k} = ω_N^k are the
+	// tables themselves; its odd points ω_2N^{2k+1} are the N-domain
+	// evaluations of f(ω_2N·x) and g(ω_2N·x), whose coefficients are f's
+	// and g's twisted by ω_2N^i. So each polynomial costs an N-point INTT
+	// and an N-point NTT, never a 2N-point transform.
+	pf.H = make([]E, 2*sys.N)
+	for k := range fv {
+		pf.H[2*k] = f.Mul(fv[k], gv[k])
+	}
 	sys.dN.INTT(fv)
 	sys.dN.INTT(gv)
-	f2 := make([]E, 2*sys.N)
-	g2 := make([]E, 2*sys.N)
-	zero := f.Zero()
-	for i := range f2 {
-		f2[i], g2[i] = zero, zero
+	for i := range fv {
+		w := sys.d2N.Point(i)
+		fv[i] = f.Mul(fv[i], w)
+		gv[i] = f.Mul(gv[i], w)
 	}
-	copy(f2, fv)
-	copy(g2, gv)
-	sys.d2N.NTT(f2)
-	sys.d2N.NTT(g2)
-	pf.H = make([]E, 2*sys.N)
-	for i := range pf.H {
-		pf.H[i] = f.Mul(f2[i], g2[i])
+	sys.dN.NTT(fv)
+	sys.dN.NTT(gv)
+	for k := range fv {
+		pf.H[2*k+1] = f.Mul(fv[k], gv[k])
 	}
 
 	pf.Triples = make([]Triple[E], sys.Reps)
