@@ -113,7 +113,9 @@ func (F64) Mul(a, b uint64) uint64 {
 }
 
 // reduce128 reduces hi*2^64 + lo modulo the Goldilocks prime using the
-// identities 2^64 ≡ 2^32 - 1 and 2^96 ≡ -1 (mod p).
+// identities 2^64 ≡ 2^32 - 1 and 2^96 ≡ -1 (mod p). It is kept small enough
+// that Mul, which wraps it, stays within the compiler's inlining budget:
+// the F64 NTT butterfly relies on Mul inlining.
 func reduce128(hi, lo uint64) uint64 {
 	t0, borrow := bits.Sub64(lo, hi>>32, 0)
 	if borrow != 0 {

@@ -61,11 +61,6 @@ func (d *Domain[Fd, E]) NTT(a []E) { d.transform(a, d.pow) }
 // exact inverse of NTT.
 func (d *Domain[Fd, E]) INTT(a []E) {
 	d.transform(a, d.invPow)
-	if _, ok := any(d.F).(field.F64); ok {
-		a64 := any(a).([]uint64)
-		field.ScaleSlice(a64, a64, any(d.invN).(uint64))
-		return
-	}
 	for i := range a {
 		a[i] = d.F.Mul(a[i], d.invN)
 	}
@@ -100,9 +95,10 @@ func (d *Domain[Fd, E]) transform(a []E, tw []E) {
 	}
 }
 
-// butterflyF64 is transform's butterfly passes over F64, with the field
-// arithmetic called directly rather than through the generic dictionary.
-// a must already be in bit-reversed order.
+// butterflyF64 runs transform's butterfly passes over F64. It calls the
+// field arithmetic on the concrete type rather than through the generics
+// dictionary, so F64.Mul, Add and Sub inline. a must already be in
+// bit-reversed order.
 func butterflyF64(a, tw []uint64) {
 	var f field.F64
 	n := len(a)

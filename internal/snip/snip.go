@@ -123,11 +123,10 @@ func (sys *System[Fd, E]) ProofLen() int {
 
 // Prove builds the SNIP proof for input x. The prover evaluates Valid(x),
 // interpolates f and g through the multiplication-gate operands (with
-// uniformly random anchors for zero knowledge), computes h = f·g on the
-// 2N-domain, and deals itself Beaver triples (Section 4.2, step 1 and step
-// 3b). h's even points are products of the N-point tables; its odd points
-// come from an N-point NTT over the coset ω_2N·⟨ω_N⟩, so proving runs no
-// 2N-point transform.
+// uniformly random anchors for zero knowledge), evaluates h = f·g on the
+// 2N-domain with N-point transforms only (the odd points by an NTT over the
+// coset ω_2N·⟨ω_N⟩), and deals itself Beaver triples (Section 4.2, step 1
+// and step 3b).
 //
 // Prove does not require Valid(x) to hold: dishonest inputs yield proofs the
 // servers will reject, which the adversarial tests rely on.
