@@ -21,6 +21,10 @@ import (
 // ablation handles for the design decisions in DESIGN.md (NTT domain,
 // precomputed evaluation weights, PRG share compression).
 
+// sinkF64 keeps BenchmarkFieldMul/F64's result live: F64.Mul inlines, so
+// without it the compiler drops the multiplication loop as dead code.
+var sinkF64 uint64
+
 func BenchmarkFieldMul(b *testing.B) {
 	b.Run("F64", func(b *testing.B) {
 		f := field.NewF64()
@@ -30,6 +34,7 @@ func BenchmarkFieldMul(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			x = f.Mul(x, y)
 		}
+		sinkF64 = x
 	})
 	b.Run("F128", func(b *testing.B) {
 		f := field.NewF128()
